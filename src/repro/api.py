@@ -126,7 +126,7 @@ def _resilience(resilience: Optional[ResilienceConfig],
 
 
 def _pipeline(*, seed: int, workers: int, backend: str,
-              shards: Optional[int], signal_cache_size: Optional[int],
+              shards: Optional[int],
               cache_dir: Optional[Path | str],
               scenario_config: Optional[ScenarioConfig],
               platform_config: Optional[PlatformConfig],
@@ -149,8 +149,7 @@ def _pipeline(*, seed: int, workers: int, backend: str,
         study_period=study_period,
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         executor=ExecutorConfig(
-            workers=workers, backend=backend, n_shards=shards,
-            signal_cache_size=signal_cache_size),
+            workers=workers, backend=backend, n_shards=shards),
         observability=observability,
         resilience=resilience,
         profile=profile,
@@ -290,7 +289,6 @@ class RunResult:
 
 def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
         shards: Optional[int] = None,
-        signal_cache_size: Optional[int] = None,
         cache_dir: Optional[Path | str] = None,
         scenario_config: Optional[ScenarioConfig] = None,
         platform_config: Optional[PlatformConfig] = None,
@@ -327,12 +325,9 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
     worker count); ``cache_dir`` enables the content-addressed stage
     cache so warm re-runs skip straight to the merge.  ``seed`` is
     shorthand for ``scenario_config=ScenarioConfig(seed=...)`` and is
-    ignored when an explicit ``scenario_config`` is given.
-    ``signal_cache_size`` bounds the platform's memoized-signal LRU
-    (None = default, 0 = off for A/B runs); cached and uncached runs
-    are byte-identical, and the process backend additionally keeps the
-    generated world resident per worker so each process builds it once
-    per run.
+    ignored when an explicit ``scenario_config`` is given.  The process
+    backend keeps the generated world resident per worker, so each
+    process builds it once per run.
 
     ``journal`` is shorthand for
     ``observability=Observability(journal=...)``: pass a path (or
@@ -401,7 +396,6 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
                                             runs_dir)
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=shards,
-        signal_cache_size=signal_cache_size,
         cache_dir=cache_dir, scenario_config=scenario_config,
         platform_config=platform_config, curation_config=curation_config,
         kio_config=kio_config, matching_config=matching_config,
@@ -428,7 +422,6 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
 
 def stream(*, seed: int = 2023, workers: int = 1,
            backend: str = "serial",
-           signal_cache_size: Optional[int] = None,
            scenario_config: Optional[ScenarioConfig] = None,
            platform_config: Optional[PlatformConfig] = None,
            curation_config: Optional[CurationConfig] = None,
@@ -498,7 +491,7 @@ def stream(*, seed: int = 2023, workers: int = 1,
                                     breaker_policy, fail_fast)
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=None,
-        signal_cache_size=signal_cache_size, cache_dir=None,
+        cache_dir=None,
         scenario_config=scenario_config,
         platform_config=platform_config, curation_config=curation_config,
         kio_config=kio_config, matching_config=matching_config,
@@ -525,7 +518,7 @@ def stream(*, seed: int = 2023, workers: int = 1,
         pipeline, seed=active_config.seed, period=study_period,
         platform_config=platform_config,
         curation_config=curation_config, backend=backend,
-        workers=workers, signal_cache_size=signal_cache_size,
+        workers=workers,
         resilience=resilience_config, package=package)
 
 

@@ -8,13 +8,14 @@ the telescope).  Two implementations of the same quantity live here:
   sorted window (O(log w) per push) — the scalar reference, one value
   at a time; :func:`rolling_median` is its batch convenience.
 - :func:`trailing_median` computes every trailing-window median of a
-  whole series at once with numpy bulk operations — the engine behind
-  the columnar alert detector.  It is *exact*: tests assert bitwise
-  equality with the scalar path on every series shape the detectors
-  see.
+  whole series at once with numpy bulk operations.  It is *exact*:
+  tests assert bitwise equality with the scalar path on every series
+  shape the detectors see.
 - :func:`trailing_median_at` answers the same question at selected
   positions only, for callers (the alert detector's prefilter) that
-  can prove most bins need no baseline at all.
+  can prove most bins need no baseline at all;
+  :class:`TrailingMedianStream` does so chunk by chunk at O(window)
+  state — the engine behind :mod:`repro.stream.detect`.
 
 Both use the interpolating median (mean of the central pair for even
 counts), matching :func:`repro.stats.descriptive.median`.

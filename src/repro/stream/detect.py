@@ -1,27 +1,24 @@
-"""The incremental detection core.
+"""The detection core: IODA's alert rule (§3.1.1), applied incrementally.
 
-:class:`StreamingAlertDetector` is the chunk-at-a-time counterpart of
-:meth:`repro.signals.alerts.AlertDetector.detect`: bins arrive in
-contiguous chunks (one per watermark advance), state is bounded to
-O(window) per series (:class:`repro.stats.rolling.TrailingMedianStream`
-plus a running max and a bin counter), and the alerts that come out are
-**bitwise-identical** to scanning the concatenated series through the
-batch detector — same running-max prefilter, same exact rank-select
-baselines, same threshold compare.  ``REPRO_SCALAR_DETECT=1``
-(:mod:`repro.flags`) selects the per-bin scalar mode, mirroring the
-batch flag; both modes emit the same bits.
+:class:`StreamingAlertDetector` applies the median-of-trailing-window
+rule to a series that arrives in contiguous chunks (one per watermark
+advance).  State is bounded to O(window) per series
+(:class:`repro.stats.rolling.TrailingMedianStream` plus a running max
+and a bin counter), and the alerts that come out are
+**bitwise-identical** under any chunking — every per-bin quantity
+depends only on the bins before it.  The per-bin reference scan the
+detector must match lives in the test suite as an oracle.
 
-:class:`StreamingEpisodeGrouper` is the incremental counterpart of
-:func:`repro.signals.alerts.group_alerts`: alerts stream in, maximal
-episodes stream out as soon as a gap proves them closed, and the open
-run is inspectable (the engine surfaces it as a provisional episode for
-``open``/``update`` lifecycle events).
+:class:`StreamingEpisodeGrouper` merges alerting bins into maximal
+episodes: alerts stream in, episodes stream out as soon as a gap proves
+them closed, and the open run is inspectable (the engine surfaces it as
+a provisional episode for ``open``/``update`` lifecycle events).
 
 :func:`stream_episodes` composes the two over a whole series in one
 feed — which is how the **batch** dashboard
-(:mod:`repro.ioda.dashboard`) now runs: batch detection is literally
-the streaming engine fed one maximal chunk, so there is exactly one
-detection implementation to trust.
+(:mod:`repro.ioda.dashboard`) runs: batch detection is the streaming
+detector fed one maximal chunk, so there is exactly one detection
+implementation to trust.
 """
 
 from __future__ import annotations
@@ -31,11 +28,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SignalError
-from repro.flags import scalar_detect
-from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig, \
-    _check_grouping_args, _episode_from_run
+from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig
 from repro.signals.series import TimeSeries
-from repro.stats.rolling import RollingMedian, TrailingMedianStream
+from repro.stats.rolling import TrailingMedianStream
+from repro.timeutils.timestamps import TimeRange
 
 __all__ = ["StreamingAlertDetector", "StreamingEpisodeGrouper",
            "stream_episodes"]
@@ -48,16 +44,12 @@ class StreamingAlertDetector:
     order.  The detector keeps only the trailing history window, the
     running maximum, and the number of bins absorbed — never the whole
     series — so memory stays O(window) no matter how long the stream
-    runs.  Feeding the entire series as one chunk reproduces
-    :meth:`repro.signals.alerts.AlertDetector.detect` bit for bit; so
-    does any other chunking, because every per-bin quantity (prefilter
-    max, baseline median, threshold compare) depends only on the bins
-    before it.
-
-    The scalar/columnar mode is chosen at construction from
-    ``REPRO_SCALAR_DETECT`` (the two modes emit identical alerts; the
-    flag exists so the executable specification stays runnable end to
-    end, exactly as in the batch detector).
+    runs.  Any chunking emits the same alerts as feeding the entire
+    series at once, because every per-bin quantity (prefilter max,
+    baseline median, threshold compare) depends only on the bins before
+    it.  The current bin never contributes to its own baseline (the
+    window is strictly trailing), so a sharp total outage alerts
+    immediately rather than dragging its own baseline down.
     """
 
     def __init__(self, config: DetectorConfig, width: int):
@@ -73,13 +65,7 @@ class StreamingAlertDetector:
         self._window = window
         self._min_history = max(
             1, int(window * config.min_history_fraction))
-        self._scalar = scalar_detect()
-        if self._scalar:
-            self._tracker: Optional[RollingMedian] = RollingMedian(window)
-            self._median: Optional[TrailingMedianStream] = None
-        else:
-            self._tracker = None
-            self._median = TrailingMedianStream(window)
+        self._median = TrailingMedianStream(window)
         self._running_max = -np.inf
         self._n = 0
 
@@ -105,12 +91,12 @@ class StreamingAlertDetector:
             raise SignalError("feed expects a one-dimensional chunk")
         if values.shape[0] == 0:
             return []
-        if self._scalar:
-            return self._feed_scalar(bin_starts, values)
         # Prefix maxima seeded with the running max: prev[j] is the
-        # largest value strictly before global bin n + j, so the same
-        # necessary-condition prefilter as the batch path applies
-        # (median <= max of history, and rounding is monotone).
+        # largest value strictly before global bin n + j.  The baseline
+        # median never exceeds that, and x <= y implies fl(t*x) <=
+        # fl(t*y) (rounding is monotone), so bins at or above
+        # ``threshold * prev`` cannot alert — the quiet series that
+        # dominate curation exit here without computing a median.
         m = np.maximum.accumulate(
             np.concatenate([[self._running_max], values]))
         prev = m[:-1]
@@ -120,7 +106,6 @@ class StreamingAlertDetector:
             eligible & (values < self._config.threshold * prev))
         alerts: List[Alert] = []
         if candidates.size:
-            assert self._median is not None
             baselines = self._median.medians_at(values, candidates)
             keep = values[candidates] \
                 < self._config.threshold * baselines
@@ -128,39 +113,24 @@ class StreamingAlertDetector:
                 Alert(time=int(bin_starts[i]), value=float(values[i]),
                       baseline=float(baselines[k]))
                 for k, i in zip(np.flatnonzero(keep), candidates[keep])]
-        if self._median is not None:
-            self._median.push(values)
+        self._median.push(values)
         self._running_max = float(m[-1])
         self._n += values.shape[0]
         return alerts
 
-    def _feed_scalar(self, bin_starts: np.ndarray,
-                     values: np.ndarray) -> List[Alert]:
-        """Per-bin reference mode (``REPRO_SCALAR_DETECT=1``)."""
-        assert self._tracker is not None
-        alerts: List[Alert] = []
-        for ts, value in zip(bin_starts, values):
-            baseline = self._tracker.median
-            if (baseline is not None
-                    and len(self._tracker) >= self._min_history
-                    and value < self._config.threshold * baseline):
-                alerts.append(Alert(time=int(ts), value=float(value),
-                                    baseline=baseline))
-            self._tracker.push(float(value))
-            self._n += 1
-        return alerts
-
 
 class StreamingEpisodeGrouper:
-    """Incremental :func:`repro.signals.alerts.group_alerts`.
+    """Merges alerting bins into maximal :class:`AlertEpisode` spans.
 
-    Alerts stream in (in time order); an episode is emitted the moment a
-    later alert proves its run closed by exceeding the gap tolerance.
+    Alerts whose start times are within ``max_gap_bins * bin_width`` of
+    the previous alerting bin extend the current episode; larger gaps
+    start a new one (a tolerance of one bin absorbs single-bin flickers
+    at the edge of the threshold).  Alerts stream in (in time order); an
+    episode is emitted the moment a later alert proves its run closed.
     The still-open run is observable as a provisional episode
     (:meth:`open_episode`) — the engine's ``open``/``update`` lifecycle
     events are exactly that view — and :meth:`finalize` flushes it when
-    the series ends.  Feeding a full alert list and finalizing matches
-    the batch grouper bit for bit.
+    the series ends.
     """
 
     def __init__(self, bin_width: int, max_gap_bins: int = 1):
@@ -213,10 +183,9 @@ def stream_episodes(series: TimeSeries, config: DetectorConfig,
     """Detect and group one whole series through the streaming core.
 
     One maximal chunk through :class:`StreamingAlertDetector` and
-    :class:`StreamingEpisodeGrouper` — bitwise-identical to the batch
-    ``detect`` + ``group_alerts`` pair, which is why the dashboard
-    (and through it all of batch curation) routes here: batch is the
-    ingest-everything special case of the stream engine.
+    :class:`StreamingEpisodeGrouper` — the dashboard (and through it all
+    of batch curation) routes here: batch is the ingest-everything
+    special case of the stream engine.
     """
     detector = StreamingAlertDetector(config, series.width)
     grouper = StreamingEpisodeGrouper(series.width,
@@ -225,3 +194,20 @@ def stream_episodes(series: TimeSeries, config: DetectorConfig,
     episodes = grouper.feed(detector.feed(bin_starts, values))
     episodes.extend(grouper.finalize())
     return episodes
+
+
+def _check_grouping_args(bin_width: int, max_gap_bins: int) -> None:
+    if bin_width <= 0:
+        raise SignalError(f"bin width must be positive: {bin_width}")
+    if max_gap_bins < 0:
+        raise SignalError(
+            f"max gap must be >= 0 bins: {max_gap_bins}")
+
+
+def _episode_from_run(run: Sequence[Alert], bin_width: int) -> AlertEpisode:
+    return AlertEpisode(
+        span=TimeRange(run[0].time, run[-1].time + bin_width),
+        min_value=min(alert.value for alert in run),
+        baseline=run[0].baseline,
+        n_bins=len(run),
+    )

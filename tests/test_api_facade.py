@@ -92,6 +92,13 @@ class TestRemovedShims:
         assert "stream" in api.__all__
         assert "StreamSession" in api.__all__
 
+    @pytest.mark.parametrize("entry", [api.run, api.stream])
+    def test_signal_cache_size_is_gone(self, entry):
+        # The memoized-signal LRU was removed; the knob is rejected at
+        # the call boundary, before any work starts.
+        with pytest.raises(TypeError, match="signal_cache_size"):
+            entry(signal_cache_size=0)
+
 
 class TestClient:
     def test_client_serves_cursor_paginated_feed(self, run_output):

@@ -36,6 +36,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "mpi", "run"])
 
+    def test_signal_cache_size_flag_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--signal-cache-size", "0", "run"])
+
     def test_invalid_executor_values_exit_cleanly(self, capsys):
         assert main(["--workers", "0", "run"]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err

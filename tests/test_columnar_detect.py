@@ -1,29 +1,33 @@
-"""Bitwise equivalence of the columnar detection core and its scalar
-reference implementations.
+"""Bitwise equivalence of the detection core and its per-bin oracles.
 
-The columnar paths (``trailing_median``, ``AlertDetector.detect``,
-``group_alerts``, ``ActiveProbingRun.up_count_series``) must produce
-*bitwise-identical* output to the per-bin/per-round reference code they
-replace — not merely approximately equal.  These tests drive both paths
-over randomized series covering every detector configuration, missing
-history prefixes, threshold-boundary ties, and the scalar escape hatch
-(``REPRO_SCALAR_DETECT=1``), and assert exact equality end to end.
+The production paths (``trailing_median``, ``TrailingMedianStream``,
+``StreamingAlertDetector.feed``, ``StreamingEpisodeGrouper``,
+``ActiveProbingRun.up_count_series``) must produce *bitwise-identical*
+output to the per-bin/per-round reference code in :mod:`tests.oracles`
+— not merely approximately equal.  These tests drive both over
+randomized series covering every detector configuration, missing
+history prefixes, threshold-boundary ties, and arbitrary chunkings of
+the streamed input (one chunk, fixed steps, random splits with 1-bin
+chunks), and assert exact equality end to end.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import SignalError
-from repro.flags import SCALAR_DETECT_ENV
-from repro.ioda.detectors import DETECTOR_CONFIGS, detector_for
+from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.probing.blocks import ProbedBlock
 from repro.probing.scheduler import ActiveProbingRun
-from repro.signals.alerts import Alert, AlertDetector, DetectorConfig, \
-    group_alerts, group_alerts_scalar
+from repro.signals.alerts import Alert, DetectorConfig
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
-from repro.stats.rolling import rolling_median, trailing_median
+from repro.stats.rolling import TrailingMedianStream, rolling_median, \
+    trailing_median
+from repro.stream.detect import StreamingAlertDetector, \
+    StreamingEpisodeGrouper
 from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, utc
+from tests.oracles import detect_scalar, group_alerts_scalar, \
+    up_count_series_scalar
 
 
 def _random_series(rng, n, width=FIVE_MINUTES):
@@ -86,48 +90,146 @@ class TestTrailingMedian:
             trailing_median(np.ones((5, 2)), 3)
 
 
+def _chunkings(rng, n):
+    """Chunk boundaries to stream ``n`` bins through: one chunk, two
+    fixed steps, and random splits that include 1-bin chunks."""
+    def bounds(sizes):
+        edges = np.concatenate([[0], np.cumsum(sizes)])
+        return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+
+    yield "one", [(0, n)]
+    for step in (1, 37):
+        yield f"step{step}", [(a, min(n, a + step))
+                              for a in range(0, n, step)]
+    for trial in range(3):
+        sizes, left = [], n
+        while left:
+            size = 1 if rng.random() < 0.3 else int(
+                rng.integers(1, max(2, n // 4)))
+            size = min(size, left)
+            sizes.append(size)
+            left -= size
+        yield f"random{trial}", bounds(sizes)
+
+
+def _stream_detect(config, series, chunks):
+    """Alerts of ``series`` fed through the production detector."""
+    detector = StreamingAlertDetector(config, series.width)
+    bin_starts, values = series.arrays()
+    alerts = []
+    for a, b in chunks:
+        alerts.extend(detector.feed(bin_starts[a:b], values[a:b]))
+    assert detector.n_bins == len(series)
+    return alerts
+
+
+def _plant_ties(rng, values, config, width):
+    """Set a few bins to exactly ``threshold * baseline`` — on the
+    boundary, where only a strict compare keeps them from alerting."""
+    window = config.history_seconds // width
+    min_history = max(1, int(window * config.min_history_fraction))
+    if len(values) <= min_history:
+        return values
+    values = values.copy()
+    picks = rng.choice(np.arange(min_history, len(values)),
+                       size=min(5, len(values) - min_history),
+                       replace=False)
+    for i in np.sort(picks):
+        trailing = sorted(values[max(0, i - window):i].tolist())
+        mid = len(trailing) // 2
+        baseline = (trailing[mid] if len(trailing) % 2
+                    else (trailing[mid - 1] + trailing[mid]) / 2.0)
+        values[i] = config.threshold * baseline
+    return values
+
+
+def group_alerts(alerts, bin_width, max_gap_bins=1):
+    """The production grouper over a whole alert list."""
+    grouper = StreamingEpisodeGrouper(bin_width, max_gap_bins=max_gap_bins)
+    episodes = grouper.feed(alerts)
+    episodes.extend(grouper.finalize())
+    return episodes
+
+
+class TestTrailingMedianStream:
+    def test_medians_at_match_rolling_median_under_chunkings(self):
+        rng = np.random.default_rng(21)
+        for n, window in ((1, 5), (40, 7), (300, 24), (700, 288)):
+            values = _random_series(rng, n)
+            want = rolling_median(values, window)
+            for name, chunks in _chunkings(rng, n):
+                stream = TrailingMedianStream(window)
+                for a, b in chunks:
+                    chunk = values[a:b]
+                    # Global bin 0 has no history (None in the oracle).
+                    idx = np.arange(max(0, 1 - a), b - a)
+                    got = stream.medians_at(chunk, idx)
+                    assert got.tolist() == want[a + len(chunk) - len(idx):b], \
+                        (n, window, name, a)
+                    stream.push(chunk)
+
+                assert stream.count == n
+                assert stream.tail_size == min(n, window)
+
+
 class TestDetectorEquivalence:
     @pytest.mark.parametrize("kind", list(SignalKind))
     def test_detect_matches_scalar_on_all_configs(self, kind):
-        rng = np.random.default_rng(hash(kind.value) % 2**32)
-        detector = detector_for(kind)
+        rng = np.random.default_rng(list(SignalKind).index(kind))
+        config = DETECTOR_CONFIGS[kind]
         width = FIVE_MINUTES if kind is not SignalKind.ACTIVE_PROBING \
             else 2 * FIVE_MINUTES
         for n in (2, 5, 50, 700, 3000):
-            series = TimeSeries(0, width, _random_series(rng, n, width))
-            assert detector.detect(series) \
-                == detector.detect_scalar(series), (kind, n)
+            values = _plant_ties(rng, _random_series(rng, n, width),
+                                 config, width)
+            series = TimeSeries(0, width, values)
+            want = detect_scalar(config, series)
+            for name, chunks in _chunkings(rng, n):
+                assert _stream_detect(config, series, chunks) == want, \
+                    (kind, n, name)
 
     def test_threshold_boundary_ties_are_not_alerts(self):
         """value == threshold * baseline must not alert on either path
         (the comparison is strict)."""
+        rng = np.random.default_rng(5)
         config = DetectorConfig(threshold=0.5, history_seconds=FIVE_MINUTES,
                                 min_history_fraction=1.0)
-        detector = AlertDetector(config)
-        # Baseline is always 100 (window of one trailing bin), so a
-        # value of exactly 50 sits on the boundary.
+        # Baseline is always the one trailing bin, so 50 after 100 sits
+        # on the boundary.
         series = TimeSeries(0, FIVE_MINUTES,
                             [100.0, 50.0, 100.0, 49.0, 100.0])
-        vec, scalar = detector.detect(series), detector.detect_scalar(series)
-        assert vec == scalar
-        assert [a.value for a in vec] == [49.0]
+        want = detect_scalar(config, series)
+        assert [a.value for a in want] == [49.0]
+        # A wider window whose median (60) sits below the running max
+        # (100): the boundary bin passes the prefilter and only the
+        # strict baseline compare keeps it quiet.
+        wide = DetectorConfig(threshold=0.5,
+                              history_seconds=3 * FIVE_MINUTES,
+                              min_history_fraction=1.0)
+        below_max = TimeSeries(0, FIVE_MINUTES,
+                               [100.0, 60.0, 60.0, 30.0, 60.0, 29.0])
+        want_wide = detect_scalar(wide, below_max)
+        assert [a.value for a in want_wide] == [29.0]
+        for name, chunks in _chunkings(rng, len(series)):
+            assert _stream_detect(config, series, chunks) == want, name
+        for name, chunks in _chunkings(rng, len(below_max)):
+            assert _stream_detect(wide, below_max, chunks) == want_wide, \
+                name
 
     def test_short_series_produces_no_alerts(self):
-        detector = detector_for(SignalKind.TELESCOPE)
+        config = DETECTOR_CONFIGS[SignalKind.TELESCOPE]
         series = TimeSeries(0, FIVE_MINUTES, [10.0, 0.0])
-        assert detector.detect(series) == detector.detect_scalar(series) \
-            == []
+        assert detect_scalar(config, series) == []
+        for _, chunks in _chunkings(np.random.default_rng(6), 2):
+            assert _stream_detect(config, series, chunks) == []
 
-    def test_scalar_env_flag_routes_to_reference(self, monkeypatch):
-        calls = []
-        detector = detector_for(SignalKind.BGP)
-        original = AlertDetector.detect_scalar
-        monkeypatch.setattr(
-            AlertDetector, "detect_scalar",
-            lambda self, series: calls.append(1) or original(self, series))
-        monkeypatch.setenv(SCALAR_DETECT_ENV, "1")
-        detector.detect(TimeSeries(0, FIVE_MINUTES, np.full(600, 7.0)))
-        assert calls
+    def test_empty_chunk_is_a_no_op(self):
+        detector = StreamingAlertDetector(
+            DETECTOR_CONFIGS[SignalKind.BGP], FIVE_MINUTES)
+        assert detector.feed(np.empty(0, np.int64), np.empty(0)) == []
+        assert detector.n_bins == 0
+        with pytest.raises(SignalError, match="one-dimensional"):
+            detector.feed(np.zeros((2, 2), np.int64), np.ones((2, 2)))
 
 
 class TestGroupAlertsEquivalence:
@@ -147,11 +249,41 @@ class TestGroupAlertsEquivalence:
                 == group_alerts_scalar(alerts, FIVE_MINUTES,
                                        max_gap_bins=gap)
 
+    def test_open_episode_tracks_every_prefix(self):
+        """Fed in chunks, the grouper's closed episodes plus its open
+        one equal the oracle's grouping of the alerts seen so far."""
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            alerts = self._alerts(rng, 120, FIVE_MINUTES)
+            gap = int(rng.integers(0, 3))
+            for name, chunks in _chunkings(rng, len(alerts)):
+                grouper = StreamingEpisodeGrouper(FIVE_MINUTES,
+                                                  max_gap_bins=gap)
+                closed = []
+                for a, b in chunks:
+                    closed.extend(grouper.feed(alerts[a:b]))
+                    want = group_alerts_scalar(alerts[:b], FIVE_MINUTES,
+                                               max_gap_bins=gap)
+                    assert closed == want[:-1], (name, b)
+                    assert grouper.open_episode() == want[-1], (name, b)
+                closed.extend(grouper.finalize())
+                assert grouper.open_episode() is None
+                assert grouper.finalize() == []
+                assert closed == group_alerts_scalar(
+                    alerts, FIVE_MINUTES, max_gap_bins=gap), name
+
     def test_empty_and_single(self):
         assert group_alerts([], FIVE_MINUTES) == []
+        assert StreamingEpisodeGrouper(FIVE_MINUTES).open_episode() is None
         one = [Alert(time=300, value=1.0, baseline=10.0)]
         assert group_alerts(one, FIVE_MINUTES) \
             == group_alerts_scalar(one, FIVE_MINUTES)
+
+    def test_feed_after_finalize_rejected(self):
+        grouper = StreamingEpisodeGrouper(FIVE_MINUTES)
+        grouper.finalize()
+        with pytest.raises(SignalError, match="finalized"):
+            grouper.feed([Alert(time=0, value=1.0, baseline=10.0)])
 
     @pytest.mark.parametrize("grouper", [group_alerts, group_alerts_scalar])
     def test_negative_max_gap_rejected(self, grouper):
@@ -183,22 +315,11 @@ class TestProbingEquivalence:
             seed = int(rng.integers(2**31))
             vec = run.up_count_series(
                 window, up, np.random.default_rng(seed))
-            scalar = run.up_count_series_scalar(
-                window, up, np.random.default_rng(seed))
+            scalar = up_count_series_scalar(
+                run, window, up, np.random.default_rng(seed))
             assert vec.start == scalar.start
             assert vec.width == scalar.width
             assert vec.values.tobytes() == scalar.values.tobytes(), trial
-
-    def test_scalar_env_flag_dispatches(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        run = self._run(rng, 5)
-        window = TimeRange(utc(2019, 1, 1), utc(2019, 1, 2))
-        up = np.ones((window.end - window.start) // 600)
-        monkeypatch.setenv(SCALAR_DETECT_ENV, "1")
-        flagged = run.up_count_series(window, up, np.random.default_rng(3))
-        reference = run.up_count_series_scalar(
-            window, up, np.random.default_rng(3))
-        assert flagged.values.tobytes() == reference.values.tobytes()
 
 
 class TestSeriesArrayAPI:
@@ -232,8 +353,7 @@ class TestSeriesArrayAPI:
 
 class TestPipelineByteIdentity:
     """The whole pipeline — signals, detection, curation, merge — must
-    be byte-identical with the columnar paths on and off, on every
-    executor backend."""
+    be byte-identical on every executor backend."""
 
     @pytest.fixture(scope="class")
     def small_run(self):
@@ -252,20 +372,8 @@ class TestPipelineByteIdentity:
             [io.record_to_dict(r) for r in result.curated_records],
             sort_keys=True)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_scalar_flag_does_not_change_output(self, small_run, backend,
-                                                monkeypatch):
-        import repro.api as api
-        kwargs, columnar = small_run
-        monkeypatch.setenv(SCALAR_DETECT_ENV, "1")
-        scalar = api.run(
-            workers=1 if backend == "serial" else 2, backend=backend,
-            signal_cache_size=0, **kwargs)
-        assert self._record_bytes(scalar) == self._record_bytes(columnar)
-        assert len(scalar.kio_events) == len(columnar.kio_events)
-
     def test_flag_off_matches_across_backends(self, small_run):
         import repro.api as api
-        kwargs, columnar = small_run
+        kwargs, serial = small_run
         parallel = api.run(workers=2, backend="thread", **kwargs)
-        assert self._record_bytes(parallel) == self._record_bytes(columnar)
+        assert self._record_bytes(parallel) == self._record_bytes(serial)

@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro import io
 from repro.errors import ConfigurationError
 from repro.exec import (
@@ -32,7 +33,11 @@ from repro.exec import (
     fingerprint,
 )
 from repro.core.pipeline import ReproPipeline
-from repro.ioda.curation import CurationConfig
+from repro.exec.workers import _curate_shard
+from repro.ioda.curation import CurationConfig, CurationPipeline
+from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.obs import Observability
+from repro.obs.runtime import activate
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig, ScenarioGenerator
 
@@ -204,11 +209,8 @@ class TestExecStats:
         stats.add_stage("curate", 1.25)
         report = stats.as_dict()
         assert set(report) == {"workers", "backend", "n_shards", "stages",
-                               "total_seconds", "cache", "signal_cache",
-                               "shards", "n_records", "degraded",
-                               "quarantined"}
-        assert report["signal_cache"] == {"hits": 0, "misses": 0,
-                                          "evictions": 0}
+                               "total_seconds", "cache", "shards",
+                               "n_records", "degraded", "quarantined"}
         assert report["stages"] == {"curate": 1.25}
         assert report["cache"] == {"hits": 0, "misses": 0,
                                    "curate_skipped": True}
@@ -237,8 +239,62 @@ class TestEquivalence:
 
     def test_process_pool_is_byte_identical_to_serial(self, small_scenario,
                                                       serial_records):
-        parallel, _ = _curate(small_scenario, workers=2, backend="process")
+        """Also: each process worker generates the scenario and platform
+        once per run and reuses them for every shard it executes."""
+        obs = Observability()
+
+        with activate(obs):
+            parallel, stats = _curate(small_scenario, workers=2,
+                                      backend="process")
         assert _record_bytes(parallel) == _record_bytes(serial_records)
+        assert len(stats.shard_seconds) > 2
+        builds = {key: value
+                  for key, value in obs.metrics.snapshot()["gauges"].items()
+                  if key.startswith("exec.worker.world_builds")}
+        assert 1 <= len(builds) <= 2, builds
+        assert all(value == 1.0 for value in builds.values()), builds
+
+    def test_facade_thread_run_is_byte_identical_to_serial(self,
+                                                           serial_records):
+        """The same guarantee end to end, through ``api.run``."""
+        run = api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+                      workers=4, backend="thread")
+        assert _record_bytes(run.events.curated_records) \
+            == _record_bytes(serial_records)
+
+    def test_facade_process_run_builds_one_world_per_worker(self,
+                                                            serial_records):
+        """An ``observability`` handed to ``api.run`` (not activated by
+        the caller) still collects each process worker's world-build
+        gauge, and every worker built its world exactly once."""
+        obs = Observability()
+        run = api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+                      workers=2, backend="process", observability=obs)
+        assert _record_bytes(run.events.curated_records) \
+            == _record_bytes(serial_records)
+        builds = {key: value
+                  for key, value in obs.metrics.snapshot()["gauges"].items()
+                  if key.startswith("exec.worker.world_builds")}
+        assert 1 <= len(builds) <= 2, builds
+        assert all(value == 1.0 for value in builds.values()), builds
+
+    def test_shard_restricted_windows_match_full_map(self, small_scenario):
+        """A shard given only its own windows curates identical records
+        to one that recomputes the world-wide window map."""
+        platform = IODAPlatform(small_scenario)
+        pipeline = CurationPipeline(platform, CurationConfig())
+        windows = pipeline.country_windows(SMALL_PERIOD)
+        iso2 = sorted(windows)[0]
+        restricted = _curate_shard(
+            small_scenario, PlatformConfig(), CurationConfig(),
+            SMALL_PERIOD, (iso2,), windows={iso2: windows[iso2]},
+            platform=platform)
+        recomputed = _curate_shard(
+            small_scenario, PlatformConfig(), CurationConfig(),
+            SMALL_PERIOD, (iso2,), platform=platform)
+        assert restricted == recomputed
+        (shard_iso2, records), = restricted[0]
+        assert shard_iso2 == iso2
 
     def test_shard_count_does_not_change_results(self, small_scenario,
                                                  serial_records):

@@ -98,6 +98,30 @@ class TestCountrySignals:
                                  SignalKind.TELESCOPE, window)
         assert np.array_equal(first.values, second.values)
 
+    def test_repeat_query_returns_fresh_equal_arrays(self, platform,
+                                                     scenario):
+        event = _event(scenario, "SY")
+        window = _window(event)
+        entity = Entity.country("SY")
+        for kind in SignalKind:
+            first = platform.signal(entity, kind, window)
+            second = platform.signal(entity, kind, window)
+            assert first.values.tobytes() == second.values.tobytes(), kind
+            assert not np.shares_memory(first.values, second.values), kind
+
+    def test_caller_mutation_cannot_corrupt_later_queries(self, scenario):
+        """Every query hands back arrays the caller owns: mutating one
+        leaves the next identical query's bytes unchanged."""
+        platform = IODAPlatform(scenario)
+        entity = Entity.country("IN")
+        window = TimeRange(STUDY_PERIOD.start, STUDY_PERIOD.start + 2 * DAY)
+        for kind in SignalKind:
+            pristine = IODAPlatform(scenario).signal(entity, kind, window)
+            victim = platform.signal(entity, kind, window)
+            victim.values[:] = -1.0
+            again = platform.signal(entity, kind, window)
+            assert again.values.tobytes() == pristine.values.tobytes(), kind
+
     def test_unrelated_country_flat_during_event(self, platform, scenario):
         event = _event(scenario, "SY")
         window = _window(event)
@@ -144,6 +168,22 @@ class TestScopedSignals:
                            STUDY_PERIOD.start + 3 * HOUR)
         series = platform.signal(Entity.asn(asn), SignalKind.BGP, window)
         assert len(series) == 36
+
+    def test_as_query_agrees_with_its_country_query(self, platform,
+                                                   scenario):
+        """An AS signal is its country's signal for the same kind and
+        window, scaled by the AS's address share and rounded."""
+        network = scenario.topology.get("SY")
+        network_as = network.ases[0]
+        share = network_as.num_slash24s / max(1, network.total_slash24s)
+        window = TimeRange(STUDY_PERIOD.start, STUDY_PERIOD.start + DAY)
+        for kind in SignalKind:
+            country = platform.signal(Entity.country("SY"), kind, window)
+            as_series = platform.signal(Entity.asn(int(network_as.asn)),
+                                        kind, window)
+            assert as_series.start == country.start
+            assert as_series.values.tobytes() == np.round(
+                country.values * max(share, 0.01)).tobytes(), kind
 
 
 class TestArtifacts:

@@ -283,6 +283,23 @@ class TestPerfBaseline:
         assert cache and cache[0].status == "ok" \
             and cache[0].limit is None
 
+    def test_trend_key_absent_from_current_run_is_ok(self):
+        """A baseline recorded while a trend series existed (e.g. the
+        removed signal cache's ``cache.signal_*``) still compares clean
+        against a run that no longer reports it."""
+        stats = dict(_statistics(), **{"cache.signal_hits": 12.0,
+                                       "cache.signal_hit_rate": 0.001})
+        old = PerfBaseline.capture(
+            name="old", config={"seed": 2023, "backend": "thread"},
+            statistics=stats, health_grade="pass")
+        comparison = compare_baselines(_baseline("now"), old)
+        signal = [e for e in comparison.entries
+                  if e.name.startswith("cache.signal_")]
+        assert len(signal) == 2
+        assert all(e.status == "ok" and e.current is None
+                   and e.limit is None for e in signal)
+        assert comparison.ok
+
     def test_comparison_rows_render(self):
         rows = compare_baselines(_baseline("now"), _baseline()).rows()
         assert "OK" in rows[0]

@@ -141,8 +141,8 @@ class TestOpenMetrics:
 
     def test_dotted_names_sanitized(self):
         text = snapshot_to_openmetrics(
-            {"counters": {"platform.signal.cache.hits": 3}})
-        assert "repro_platform_signal_cache_hits_total 3" in text
+            {"counters": {"exec.cache.hits": 3}})
+        assert "repro_exec_cache_hits_total 3" in text
 
     def test_accepts_journal_metrics_event(self):
         # The journal's `metrics` event is a snapshot plus a `type`
